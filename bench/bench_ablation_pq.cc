@@ -2,10 +2,8 @@
 // Deliberately outside the Reporter/BENCH_*.json pipeline (harness.h): this
 // target is statistical micro-benchmarking, and google-benchmark already
 // emits machine-readable output via --benchmark_format=json.
-//  * Candidate priority queue: binary heap vs pairing heap. The ANYK-PART
-//    analysis assumes O(1) inserts (pairing heap); the paper observes that
-//    such structures often lose to binary heaps in practice — we measure it.
-//  * Raw heap op throughput for the two structures.
+//  * ANYK-PART with a plain binary-heap candidate queue.
+//  * Raw binary-heap op throughput.
 //  * Strategy choice at fixed k (Take2 vs Lazy vs Eager vs All).
 
 #include <benchmark/benchmark.h>
@@ -19,7 +17,6 @@
 #include "query/cq.h"
 #include "query/join_tree.h"
 #include "util/binary_heap.h"
-#include "util/pairing_heap.h"
 #include "util/random.h"
 #include "workload/generators.h"
 
@@ -60,11 +57,7 @@ void BM_AnyKPartCandPQ(benchmark::State& state) {
 void BM_Take2BinaryHeapPQ(benchmark::State& state) {
   BM_AnyKPartCandPQ<BinaryHeap>(state);
 }
-void BM_Take2PairingHeapPQ(benchmark::State& state) {
-  BM_AnyKPartCandPQ<PairingHeap>(state);
-}
 BENCHMARK(BM_Take2BinaryHeapPQ)->Arg(1000)->Arg(10000)->Arg(50000);
-BENCHMARK(BM_Take2PairingHeapPQ)->Arg(1000)->Arg(10000)->Arg(50000);
 
 template <template <class> class Strategy>
 void BM_Strategy(benchmark::State& state) {
@@ -149,21 +142,6 @@ void BM_BinaryHeapOps(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * vals.size());
 }
 BENCHMARK(BM_BinaryHeapOps);
-
-void BM_PairingHeapOps(benchmark::State& state) {
-  Rng rng(1);
-  std::vector<double> vals(1 << 16);
-  for (auto& v : vals) v = static_cast<double>(rng.Uniform(0, 1 << 20));
-  for (auto _ : state) {
-    PairingHeap<double> h;
-    for (double v : vals) h.Push(v);
-    double sink = 0;
-    while (!h.Empty()) sink += h.PopMin();
-    benchmark::DoNotOptimize(sink);
-  }
-  state.SetItemsProcessed(state.iterations() * vals.size());
-}
-BENCHMARK(BM_PairingHeapOps);
 
 }  // namespace
 

@@ -10,7 +10,6 @@
 #include <cstdio>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -53,7 +52,7 @@ int main(int argc, char** argv) {
               g(BuildStageGraph<Lex>(inst)) {
           e = MakeEnumerator<Lex>(&g, Algorithm::kTake2);
         }
-        std::optional<ResultRow<Lex>> Next() override { return e->Next(); }
+        bool NextInto(ResultRow<Lex>* row) override { return e->NextInto(row); }
       };
       return std::make_unique<Holder>(db, q);
     };

@@ -12,7 +12,6 @@
 
 #include <cstddef>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -45,9 +44,6 @@ class OwningShardedEnumerator : public Enumerator<TropicalDioid> {
         pq_->NewSession(Algorithm::kLazy));
   }
 
-  std::optional<ResultRow<TropicalDioid>> Next() override {
-    return session_->Next();
-  }
   bool NextInto(ResultRow<TropicalDioid>* row) override {
     return session_->NextInto(row);
   }

@@ -4,14 +4,14 @@
 // Two kinds of series:
 //   * "Engine" — the real pipeline, prepare + first answer per repetition:
 //     PreparedQuery construction (stage-graph builds through the column
-//     segments and bind kernels) plus one NextBatch. This is the series the
+//     segments) plus one NextBatch. This is the series the
 //     perf-regression gate (scripts/bench_compare.py against
 //     bench/baselines/BENCH_ttf.json) judges.
 //   * "Prefill-columnar" / "Prefill-rowref" — paired replicas of the
 //     storage-touching stage-build passes (join-key interning, CSR counting
 //     scatter, per-group weight reduction, first-answer chain walk) that
-//     differ ONLY in access pattern: column-strided reads through the
-//     GatherKernels over Relation's segments, vs interleaved row-major reads
+//     differ ONLY in access pattern: column-strided reads over Relation's
+//     segments, vs interleaved row-major reads
 //     over a RowMajorTable snapshot with a per-row materialized Key (the
 //     pre-columnar ProjectRow idiom, one heap vector per row). The pair
 //     isolates what the layout conversion bought; the paper note pins the
@@ -31,7 +31,6 @@
 #include "bench_common.h"
 #include "query/cq.h"
 #include "storage/flat_index.h"
-#include "storage/kernels.h"
 #include "storage/row_reference.h"
 #include "util/timer.h"
 #include "workload/generators.h"
@@ -90,13 +89,12 @@ struct PrefillScratch {
   std::vector<double> next_best;
 };
 
-// Column-strided: key matrix prefilled from the column segment via
-// spread_to_stride, contiguous interning, weights read off the contiguous
-// weight segment.
+// Column-strided: key matrix prefilled from the column segment, contiguous
+// interning, weights read off the contiguous weight segment.
 double PrefillColumnar(const std::vector<const Relation*>& chain,
                        const std::vector<uint32_t>& join_col,
                        const std::vector<uint32_t>& probe_col,
-                       const GatherKernels& kx, PrefillScratch* s) {
+                       PrefillScratch* s) {
   Timer timer;
   const size_t stages = chain.size();
   s->best.assign(chain[stages - 1]->NumRows(), 0.0);
@@ -109,8 +107,8 @@ double PrefillColumnar(const std::vector<const Relation*>& chain,
     const size_t child_rows = child.NumRows();
     // Key-matrix prefill straight off the column segment.
     s->key_rows.resize(child_rows);
-    kx.spread_to_stride(child.ColumnData(join_col[i + 1]), child_rows,
-                        s->key_rows.data(), 1);
+    const Value* key_col = child.ColumnData(join_col[i + 1]);
+    for (size_t r = 0; r < child_rows; ++r) s->key_rows[r] = key_col[r];
     s->idx.Init(1, child_rows / 4);
     s->gid.resize(child_rows);
     for (size_t r = 0; r < child_rows; ++r) {
@@ -212,7 +210,7 @@ int main(int argc, char** argv) {
 
   PaperNote("ttf",
             "columnar storage: the paired prefill series (column-strided "
-            "kernels vs interleaved rows + per-row key materialization) "
+            "reads vs interleaved rows + per-row key materialization) "
             "should show Prefill-columnar >=25% faster TTF than "
             "Prefill-rowref on path4 and star4; the Engine series gate "
             "prepare+TTF of the real pipeline against the baseline");
@@ -247,12 +245,11 @@ int main(int argc, char** argv) {
     }
 
     PrefillScratch scratch;
-    const GatherKernels& kx = GetGatherKernels(KernelKind::kAuto);
-    PrefillColumnar(chain, join_col, probe_col, kx, &scratch);  // warm
-    PrefillRowRef(row_chain, join_col, probe_col, &scratch);    // warm
+    PrefillColumnar(chain, join_col, probe_col, &scratch);  // warm
+    PrefillRowRef(row_chain, join_col, probe_col, &scratch);  // warm
     double col_total = 0, row_total = 0;
     for (size_t r = 0; r < prefill_reps; ++r) {
-      col_total += PrefillColumnar(chain, join_col, probe_col, kx, &scratch);
+      col_total += PrefillColumnar(chain, join_col, probe_col, &scratch);
       row_total += PrefillRowRef(row_chain, join_col, probe_col, &scratch);
     }
     PrintRow("ttf", s.name, "prefill", s.n, "Prefill-columnar", 1, col_total);

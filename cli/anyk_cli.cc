@@ -30,7 +30,6 @@
 #include "dioid/tropical.h"
 #include "query/sql.h"
 #include "storage/database.h"
-#include "storage/kernels.h"
 #include "util/alloc_stats.h"
 #include "util/checkpoints.h"
 #include "util/json.h"
@@ -158,15 +157,13 @@ RunReport RunRanked(const Database& db, const SqlStatement& stmt,
                     Algorithm algo, size_t limit,
                     const std::vector<size_t>& cps, const RowSink& sink,
                     ThreadPool* pool, size_t num_sessions, size_t shards,
-                    bool parallel_drain, bool want_explain,
-                    KernelKind kernels) {
+                    bool parallel_drain, bool want_explain) {
   RunReport rep;
   const AllocCounts at_start = CurrentAllocCounts();
   Timer timer;
   typename ShardedPreparedQuery<D>::Options sopts;
   typename PreparedQuery<D>::Options& qopts = sopts.prepare;
   qopts.enum_opts.with_witness = false;
-  qopts.enum_opts.kernels = kernels;
   // Budget-aware top-k fast path: --k / SQL LIMIT reaches every enumerator
   // as EnumOptions::k_budget (bounded O(k) candidate heaps, batch partial
   // sort) instead of merely truncating the drain loop below.
@@ -526,13 +523,6 @@ const char* UsageText() {
       "                        drains on its own worker (default 1 = "
       "unsharded;\n"
       "                        docs/ARCHITECTURE.md 'Sharding')\n"
-      "  --kernels NAME        bind-kernel flavor: auto (default; honors "
-      "the\n"
-      "                        ANYK_KERNELS env), scalar, or unrolled — "
-      "same\n"
-      "                        output either way (docs/ARCHITECTURE.md, "
-      "'Memory\n"
-      "                        layout')\n"
       "\n"
       "CSV loading (applies to every --relation):\n"
       "  --delimiter C         field delimiter (default ',')\n"
@@ -715,15 +705,6 @@ bool ParseCliArgs(int argc, char** argv, CliOptions* opt, std::string* error) {
         *error = "--shards expects a positive integer, got '" + v + "'";
         return false;
       }
-    } else if (is_flag(a, "--kernels")) {
-      if (!value_of(&i, "--kernels", &v)) return false;
-      KernelKind kk;
-      if (!ParseKernelKind(v, &kk)) {
-        *error = "--kernels expects auto, scalar or unrolled, got '" + v +
-                 "'";
-        return false;
-      }
-      opt->kernels = v;
     } else if (is_flag(a, "--row-limit")) {
       if (!value_of(&i, "--row-limit", &v)) return false;
       if (!ParseSize(v, &opt->csv.limit)) {
@@ -828,9 +809,6 @@ int RunCli(const CliOptions& opt) {
     };
   }
 
-  KernelKind kernels = KernelKind::kAuto;
-  ParseKernelKind(opt.kernels, &kernels);  // validated at flag-parse time
-
   // With both worker threads and shards, the merged drain also runs one
   // worker per shard session (same output bytes as the serial merge).
   const bool parallel_drain = opt.threads > 1 && opt.shards > 1;
@@ -839,19 +817,19 @@ int RunCli(const CliOptions& opt) {
   if (dioid == "min-sum") {
     rep = RunRanked<TropicalDioid>(db, stmt, algo, limit, cps, sink, &pool,
                                    opt.sessions, opt.shards, parallel_drain,
-                                   opt.explain, kernels);
+                                   opt.explain);
   } else if (dioid == "max-sum") {
     rep = RunRanked<MaxPlusDioid>(db, stmt, algo, limit, cps, sink, &pool,
                                   opt.sessions, opt.shards, parallel_drain,
-                                  opt.explain, kernels);
+                                  opt.explain);
   } else if (dioid == "min-max") {
     rep = RunRanked<MinMaxDioid>(db, stmt, algo, limit, cps, sink, &pool,
                                  opt.sessions, opt.shards, parallel_drain,
-                                 opt.explain, kernels);
+                                 opt.explain);
   } else {
     rep = RunRanked<MaxTimesDioid>(db, stmt, algo, limit, cps, sink, &pool,
                                    opt.sessions, opt.shards, parallel_drain,
-                                   opt.explain, kernels);
+                                   opt.explain);
   }
 
   if (text) {

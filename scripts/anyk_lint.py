@@ -61,7 +61,7 @@ from dataclasses import dataclass, field
 # Prefix-matched: whole directories, plus individual files that feed the
 # enumeration hot path from elsewhere (the sharding storage layer: ShardHash
 # runs per row in the partition pass, and ShardedDatabase's staging loops are
-# the same batch-bind kernels the enumerators drain through).
+# plain column loops like the enumerators' batched binds).
 HOT_PATH_DIRS = ("src/anyk/", "src/dp/",
                  "src/storage/shard_hash.h", "src/storage/sharded_database.h")
 UNORDERED_MAP_ALLOWED_DIRS = ("src/query/", "src/join/", "src/workload/")

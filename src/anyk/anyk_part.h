@@ -35,7 +35,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -61,7 +60,7 @@ struct AnyKPartStats {
 /// budget-aware BoundedQuadHeap: without EnumOptions::k_budget it is a plain
 /// flat 4-ary heap; with a budget it keeps the candidate set O(k) (see
 /// util/dary_heap.h). Budget hooks are `if constexpr`-guarded, so plain
-/// BinaryHeap / PairingHeap instantiations (bench_ablation_pq) still work.
+/// BinaryHeap instantiations (bench_ablation_pq, bench_topk) still work.
 template <SelectiveDioid D, template <class> class Strategy,
           template <class, class, class> class PQT = BoundedQuadHeap>
 class AnyKPartEnumerator : public Enumerator<D> {
@@ -92,9 +91,7 @@ class AnyKPartEnumerator : public Enumerator<D> {
         frontier_(ArenaAllocator<std::pair<uint32_t, uint32_t>>(&arena_)),
         batch_states_(ArenaAllocator<uint32_t>(&arena_)),
         batch_weights_(ArenaAllocator<V>(&arena_)),
-        batch_ids_(ArenaAllocator<uint32_t>(&arena_)),
-        batch_vals_(ArenaAllocator<Value>(&arena_)),
-        kx_(&GetGatherKernels(opts.kernels)) {
+        batch_ids_(ArenaAllocator<uint32_t>(&arena_)) {
     arena_.Reserve(opts_.arena_reserve_bytes);
     if constexpr (requires { cand_.SetBudget(size_t{0}); }) {
       cand_.SetBudget(opts_.k_budget);
@@ -131,9 +128,8 @@ class AnyKPartEnumerator : public Enumerator<D> {
 
   /// Batched pull: pop up to `n` answers first (stashing each answer's stage
   /// states and weight in arena scratch), then bind variables stage-wise
-  /// across the whole batch via the gather kernels — per stage, one strided
-  /// extraction of the batch's state column, one row-id gather, and one
-  /// column-segment gather per variable (BindStateBatch), instead of
+  /// across the whole batch — per stage, one row-id lookup per answer and
+  /// one pass over each variable's column segment (BindStateBatch), instead of
   /// re-touching all L stages tuple-at-a-time per answer. Short return ⇒
   /// exhausted (the only early exit is Advance() == false); see the
   /// contract in anyk/enumerator.h.
@@ -151,20 +147,12 @@ class AnyKPartEnumerator : public Enumerator<D> {
     for (size_t b = 0; b < produced; ++b) {
       PrepareRow(batch_weights_[b], &rows[b]);
     }
-    batch_ids_.resize(2 * produced);
-    batch_vals_.resize(produced);
+    batch_ids_.resize(produced);
     for (uint32_t j = 0; j < L; ++j) {
       BindStateBatch(*g_, j, batch_states_.data(), L, j, produced, rows,
-                     opts_.with_witness, *kx_, batch_ids_.data(),
-                     batch_vals_.data());
+                     opts_.with_witness, batch_ids_.data());
     }
     return produced;
-  }
-
-  std::optional<ResultRow<D>> Next() override {
-    ResultRow<D> row;
-    if (!NextInto(&row)) return std::nullopt;
-    return row;
   }
 
   const AnyKPartStats& stats() const { return stats_; }
@@ -445,9 +433,7 @@ class AnyKPartEnumerator : public Enumerator<D> {
   ArenaVector<std::pair<uint32_t, uint32_t>> frontier_;  // (stage, conn)
   ArenaVector<uint32_t> batch_states_;  // NextBatch scratch: L states per row
   ArenaVector<V> batch_weights_;
-  ArenaVector<uint32_t> batch_ids_;  // BindStateBatch id scratch (2 per row)
-  ArenaVector<Value> batch_vals_;    // BindStateBatch value scratch
-  const GatherKernels* kx_;          // bound once at construction
+  ArenaVector<uint32_t> batch_ids_;  // BindStateBatch row-id scratch
   V assigned_weight_ = D::One();
   V cur_total_{};            // weight of the answer Advance() just produced
   size_t emitted_ = 0;       // answers popped so far (budget accounting)

@@ -35,7 +35,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -98,12 +97,6 @@ class RecursiveEnumerator : public Enumerator<D> {
     }
     AssembleState(0, g_->stages[0].members[e.member_pos], e.rank, row);
     return true;
-  }
-
-  std::optional<ResultRow<D>> Next() override {
-    ResultRow<D> row;
-    if (!NextInto(&row)) return std::nullopt;
-    return row;
   }
 
   const AnyKRecStats& stats() const { return stats_; }

@@ -13,7 +13,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <numeric>
-#include <optional>
 #include <vector>
 
 #include "anyk/enumerator.h"
@@ -33,8 +32,7 @@ class BatchEnumerator : public Enumerator<D> {
 
  public:
   explicit BatchEnumerator(const StageGraph<D>* g, BatchOptions opts = {})
-      : g_(g), opts_(opts),
-        kx_(&GetGatherKernels(opts.enum_opts.kernels)) {}
+      : g_(g), opts_(opts) {}
 
   bool NextInto(ResultRow<D>* row) override {
     if (!materialized_) Materialize();
@@ -50,10 +48,10 @@ class BatchEnumerator : public Enumerator<D> {
     return true;
   }
 
-  /// Batched pull, bound stage-wise through the gather kernels: the batch's
-  /// rank window of `order_` becomes a dense state matrix (one strided
-  /// gather per stage out of the materialized solutions), then each stage
-  /// binds its whole column of the batch in one BindStateBatch pass. Short
+  /// Batched pull, bound stage-wise: the batch's rank window of `order_`
+  /// becomes a dense state matrix (one contiguous copy per answer out of
+  /// the materialized solutions), then each stage binds its whole column
+  /// of the batch in one BindStateBatch pass. Short
   /// return ⇒ the rank order is exhausted (contract in anyk/enumerator.h);
   /// the only possible short count is the tail min() below. Scratch buffers
   /// are plain members reused across calls (no allocation after warm-up;
@@ -69,8 +67,7 @@ class BatchEnumerator : public Enumerator<D> {
     // answer b's state at stage j (one contiguous L-copy per answer out of
     // the materialized solutions).
     batch_states_.resize(produced * L);
-    batch_ids_.resize(2 * produced);
-    batch_vals_.resize(produced);
+    batch_ids_.resize(produced);
     const uint32_t* order_win = order_.data() + cursor_;
     for (size_t b = 0; b < produced; ++b) {
       std::copy_n(solutions_.data() + static_cast<size_t>(order_win[b]) * L,
@@ -78,17 +75,10 @@ class BatchEnumerator : public Enumerator<D> {
     }
     for (uint32_t j = 0; j < L; ++j) {
       BindStateBatch(*g_, j, batch_states_.data(), L, j, produced, rows,
-                     opts_.enum_opts.with_witness, *kx_, batch_ids_.data(),
-                     batch_vals_.data());
+                     opts_.enum_opts.with_witness, batch_ids_.data());
     }
     cursor_ += produced;
     return produced;
-  }
-
-  std::optional<ResultRow<D>> Next() override {
-    ResultRow<D> row;
-    if (!NextInto(&row)) return std::nullopt;
-    return row;
   }
 
   /// Number of output tuples (forces materialization).
@@ -190,7 +180,6 @@ class BatchEnumerator : public Enumerator<D> {
 
   const StageGraph<D>* g_;
   BatchOptions opts_;
-  const GatherKernels* kx_;  // bound once at construction
   bool materialized_ = false;
   std::vector<uint32_t> solutions_;  // |out| * L state ids
   std::vector<V> weights_;
@@ -199,7 +188,6 @@ class BatchEnumerator : public Enumerator<D> {
   // NextBatch scratch, reused across calls (capacity sticks after warm-up).
   std::vector<uint32_t> batch_states_;
   std::vector<uint32_t> batch_ids_;
-  std::vector<Value> batch_vals_;
 };
 
 }  // namespace anyk

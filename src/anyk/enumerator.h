@@ -6,11 +6,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "dioid/dioid.h"
-#include "storage/kernels.h"
 #include "storage/value.h"
 
 namespace anyk {
@@ -64,13 +62,6 @@ struct EnumOptions {
   // frequent block chaining — used by fuzz tests to stress arena
   // boundaries; production code should leave this alone.
   size_t arena_block_bytes = 0;
-  // Bind-kernel flavor for the batched NextBatch paths (and, through
-  // PreparedQuery, the stage-graph build): resolved ONCE at prepare /
-  // construction time via GetGatherKernels, never per batch. kAuto defers
-  // to DefaultKernelKind() (ANYK_KERNELS env override; see
-  // storage/kernels.h). Both flavors produce byte-identical output — this
-  // knob trades debuggability against throughput only.
-  KernelKind kernels = KernelKind::kAuto;
 };
 
 /// Pull-based enumerator: answers come out in non-decreasing rank order
@@ -82,26 +73,28 @@ struct EnumOptions {
 /// same shared graph concurrently — but a single enumerator must stay
 /// confined to one thread at a time.
 ///
-/// Two pull styles:
-///  * Next() — convenience API returning a fresh ResultRow (allocates the
-///    row's vectors on every call).
-///  * NextInto(&row) — hot-path API writing into a caller-owned row whose
-///    buffers are reused across calls; after a warm-up call the per-result
-///    cost contains no heap allocation. The harness and CLI drain through
-///    this; the default implementation falls back to Next() for wrapper
-///    enumerators (union, projection, ...) that don't override it.
+/// Three pull styles, one required override:
+///  * NextInto(&row) — the hot-path API and the one method every enumerator
+///    implements: writes into a caller-owned row whose buffers are reused
+///    across calls, so after a warm-up call the per-result cost contains no
+///    heap allocation.
+///  * NextBatch(rows, n) — up to n answers per call; defaults to a NextInto
+///    loop, overridden where binding a whole batch at once pays off.
+///  * Next() — non-virtual convenience wrapper over NextInto returning a
+///    fresh ResultRow (allocates the row's vectors on every call).
 template <SelectiveDioid D>
 class Enumerator {
  public:
   virtual ~Enumerator() = default;
-  virtual std::optional<ResultRow<D>> Next() = 0;
 
   /// Write the next answer into `*row`; false when exhausted.
-  virtual bool NextInto(ResultRow<D>* row) {
-    std::optional<ResultRow<D>> r = Next();
-    if (!r.has_value()) return false;
-    *row = std::move(*r);
-    return true;
+  virtual bool NextInto(ResultRow<D>* row) = 0;
+
+  /// The next answer as a fresh row, or nullopt when exhausted.
+  std::optional<ResultRow<D>> Next() {
+    ResultRow<D> row{};
+    if (!NextInto(&row)) return std::nullopt;
+    return row;
   }
 
   /// Batched pull: write up to `n` answers into `rows[0..n)` (caller-owned,
@@ -129,9 +122,11 @@ class Enumerator {
   /// This base fallback inherits the contract from NextInto (its only
   /// short-stop is NextInto returning false, i.e. exhaustion — clause 2
   /// holds by construction). ANYK-PART and the batch enumerator override it
-  /// to bind variables stage-wise across the whole batch via the gather
-  /// kernels (storage/kernels.h); enumerators with no such cross-answer
-  /// structure keep this NextInto loop.
+  /// to bind variables stage-wise across the whole batch (BindStateBatch in
+  /// dp/stage_graph.h); enumerators with no such cross-answer structure
+  /// keep this NextInto loop. NextInto and NextBatch both stay virtual:
+  /// unions pull their parts one answer at a time through NextInto, and the
+  /// batched binds need NextBatch (docs/ARCHITECTURE.md, "Batched binds").
   virtual size_t NextBatch(ResultRow<D>* rows, size_t n) {
     size_t produced = 0;
     while (produced < n && NextInto(&rows[produced])) ++produced;

@@ -67,10 +67,6 @@ class SharedVectorEnumerator : public Enumerator<D> {
       : rows_(std::move(rows)),
         end_(k_budget == 0 ? rows_->size()
                            : std::min(k_budget, rows_->size())) {}
-  std::optional<ResultRow<D>> Next() override {
-    if (cursor_ >= end_) return std::nullopt;
-    return (*rows_)[cursor_++];
-  }
   bool NextInto(ResultRow<D>* row) override {
     if (cursor_ >= end_) return false;
     *row = (*rows_)[cursor_++];
@@ -166,7 +162,7 @@ class PreparedQuery {
                           : RerootChains(normalized)));
       graphs_.push_back(std::make_unique<StageGraph<D>>(BuildStageGraph<D>(
           instances_.back(), /*num_atoms_override=*/0, /*hook=*/nullptr,
-          pool, opts_.enum_opts.kernels)));
+          pool)));
       DecideStrategy();
       return;
     }
@@ -180,8 +176,7 @@ class PreparedQuery {
       graphs_.resize(instances_.size());
       ParallelFor(pool, instances_.size(), [&](size_t i) {
         graphs_[i] = std::make_unique<StageGraph<D>>(BuildStageGraph<D>(
-            instances_[i], /*num_atoms_override=*/0, /*hook=*/nullptr,
-            /*pool=*/nullptr, opts_.enum_opts.kernels));
+            instances_[i]));
       });
       DecideStrategy();
       return;

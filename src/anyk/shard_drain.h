@@ -32,7 +32,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -98,12 +97,6 @@ class ParallelUnionEnumerator : public Enumerator<D> {
     }
     ++emitted_;
     return true;
-  }
-
-  std::optional<ResultRow<D>> Next() override {
-    ResultRow<D> row;
-    if (!NextInto(&row)) return std::nullopt;
-    return row;
   }
 
  private:

@@ -25,7 +25,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -81,12 +80,6 @@ class UnionEnumerator : public Enumerator<D> {
       return true;
     }
     return false;
-  }
-
-  std::optional<ResultRow<D>> Next() override {
-    ResultRow<D> row;
-    if (!NextInto(&row)) return std::nullopt;
-    return row;
   }
 
   size_t duplicates_filtered() const { return duplicates_filtered_; }

@@ -106,7 +106,6 @@ class MinWeightProjection : public Enumerator<D> {
   /// Next free-variable assignment in rank order; weight is the minimum over
   /// all full answers projecting to it. Witnesses are only meaningful for
   /// atoms fully contained in the free part.
-  std::optional<ResultRow<D>> Next() override { return enumerator_->Next(); }
   bool NextInto(ResultRow<D>* row) override {
     return enumerator_->NextInto(row);
   }

@@ -33,7 +33,6 @@
 #include "query/join_tree.h"
 #include "storage/flat_index.h"
 #include "storage/group_index.h"
-#include "storage/kernels.h"
 #include "storage/value.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
@@ -159,11 +158,8 @@ template <SelectiveDioid D>
 StageGraph<D> BuildStageGraph(const TDPInstance& inst,
                               size_t num_atoms_override = 0,
                               const StateWeightHook<D>* hook = nullptr,
-                              ThreadPool* pool = nullptr,
-                              KernelKind kernels = KernelKind::kAuto) {
+                              ThreadPool* pool = nullptr) {
   using V = typename D::Value;
-  const GatherKernels& kx = GetGatherKernels(kernels);
-  const DioidKernels<D>& dk = GetDioidKernels<D>(kernels);
   const size_t num_atoms =
       num_atoms_override == 0 ? inst.num_atoms : num_atoms_override;
   const size_t L = inst.nodes.size();
@@ -224,8 +220,8 @@ StageGraph<D> BuildStageGraph(const TDPInstance& inst,
 
     // Pre-fill one row-major key matrix per child slot, column-strided: each
     // parent key column is one sequential read of its contiguous segment
-    // (spread kernel) instead of a per-row random At() walk. The DP loop
-    // below then probes with a plain span into the matrix.
+    // instead of a per-row random At() walk. The DP loop below then probes
+    // with a plain span into the matrix.
     std::vector<std::vector<Value>> slot_keys(slots);
     std::vector<size_t> slot_width(slots);
     for (size_t j = 0; j < slots; ++j) {
@@ -235,8 +231,9 @@ StageGraph<D> BuildStageGraph(const TDPInstance& inst,
       slot_width[j] = width;
       slot_keys[j].resize(rows * width);
       for (size_t c = 0; c < width; ++c) {
-        kx.spread_to_stride(nd.table->ColumnData(cnd.parent_key_cols[c]),
-                            rows, slot_keys[j].data() + c, width);
+        const Value* col = nd.table->ColumnData(cnd.parent_key_cols[c]);
+        Value* out = slot_keys[j].data() + c;
+        for (size_t r = 0; r < rows; ++r) out[r * width] = col[r];
       }
     }
 
@@ -300,9 +297,11 @@ StageGraph<D> BuildStageGraph(const TDPInstance& inst,
       conn_of_key[kk].Init(width, ns);
       std::vector<Value> key_rows(ns * width);
       for (size_t c = 0; c < width; ++c) {
-        kx.gather_to_stride(nd.table->ColumnData(nd.key_cols[c]),
-                            st.row_of_state.data(), ns, key_rows.data() + c,
-                            width);
+        const Value* col = nd.table->ColumnData(nd.key_cols[c]);
+        Value* out = key_rows.data() + c;
+        for (size_t s = 0; s < ns; ++s) {
+          out[s * width] = col[st.row_of_state[s]];
+        }
       }
       for (size_t s = 0; s < ns; ++s) {
         conn_of_state_local[s] = conn_of_key[kk].Intern(
@@ -316,16 +315,13 @@ StageGraph<D> BuildStageGraph(const TDPInstance& inst,
     for (size_t c = 0; c < conns; ++c) st.conn_begin[c + 1] += st.conn_begin[c];
     st.members.resize(ns);
     st.member_val.resize(ns, D::Zero());
-    // member_val is weight ⊗ pi1 per state; batch the ⊗ over the two flat
-    // arrays (dioid kernel) before the scatter permutes it into CSR order.
-    std::vector<V> comb(ns);
-    dk.combine(st.weight.data(), st.pi1.data(), ns, comb.data());
+    // member_val is weight ⊗ pi1 per state, scattered into CSR order.
     std::vector<uint32_t> cursor(st.conn_begin.begin(), st.conn_begin.end() - 1);
     st.conn_count.assign(conns, 0.0);
     for (size_t s = 0; s < ns; ++s) {
       const uint32_t pos = cursor[conn_of_state_local[s]]++;
       st.members[pos] = static_cast<uint32_t>(s);
-      st.member_val[pos] = comb[s];
+      st.member_val[pos] = D::Combine(st.weight[s], st.pi1[s]);
       st.conn_count[conn_of_state_local[s]] += state_count[s];
     }
     st.conn_best.resize(conns);
@@ -405,43 +401,37 @@ void BindState(const StageGraph<D>& g, uint32_t stage, uint32_t state,
 /// Batched BindState: bind `count` answers' states of one stage in a single
 /// stage-wise pass. `states_base[i * stride + offset]` is answer i's state
 /// id at this stage (the enumerators stash answers as L-strided state
-/// matrices). Per variable column the values are gathered from the column
-/// segment into `val_scratch` (one sequential write, one random read — the
-/// bind-kernel layer's core move) and then scattered into each answer's
-/// ResultRow; witnesses go the same way through the strided pin_rows gather.
-///
-/// Scratch is caller-owned so the enumerators can keep it in their arena
-/// (zero-global-alloc enumeration): `id_scratch` holds at least 2 * count
-/// uint32s, `val_scratch` at least count Values.
+/// matrices). The batch's row ids are resolved once into `id_scratch`
+/// (caller-owned, at least `count` uint32s, so the enumerators can keep it
+/// in their arena — zero-global-alloc enumeration); then each variable
+/// column is read straight from its segment into every answer's ResultRow,
+/// and the witnesses likewise from the strided pin_rows array.
 template <SelectiveDioid D>
 void BindStateBatch(const StageGraph<D>& g, uint32_t stage,
                     const uint32_t* states_base, size_t stride, size_t offset,
                     size_t count, ResultRow<D>* rows, bool with_witness,
-                    const GatherKernels& kx, uint32_t* id_scratch,
-                    Value* val_scratch) {
+                    uint32_t* id_scratch) {
   if (count == 0) return;
   const auto& st = g.stages[stage];
   const TDPNode& nd = g.instance->nodes[st.node_idx];
-  uint32_t* state_ids = id_scratch;
-  uint32_t* row_ids = id_scratch + count;
-  kx.copy_strided_u32(states_base, stride, offset, count, state_ids);
-  kx.gather_u32(st.row_of_state.data(), state_ids, count, row_ids);
+  uint32_t* row_ids = id_scratch;
+  for (size_t b = 0; b < count; ++b) {
+    row_ids[b] = st.row_of_state[states_base[b * stride + offset]];
+  }
   for (size_t c = 0; c < nd.vars.size(); ++c) {
     const uint32_t var = nd.vars[c];
-    kx.gather(nd.table->ColumnData(c), row_ids, count, val_scratch);
+    const Value* col = st.col_segs[c];
     for (size_t b = 0; b < count; ++b) {
-      rows[b].assignment[var] = val_scratch[b];
+      rows[b].assignment[var] = col[row_ids[b]];
     }
   }
   if (with_witness) {
     const size_t pins = nd.NumPins();
+    const uint32_t* pin_rows = nd.pin_rows.data();
     for (size_t p = 0; p < pins; ++p) {
       const uint32_t atom = nd.pinned_atoms[p];
-      // state_ids is dead past this point; reuse it as the witness scratch.
-      kx.gather_u32_strided(nd.pin_rows.data(), pins, p, row_ids, count,
-                            state_ids);
       for (size_t b = 0; b < count; ++b) {
-        rows[b].witness[atom] = state_ids[b];
+        rows[b].witness[atom] = pin_rows[row_ids[b] * pins + p];
       }
     }
   }

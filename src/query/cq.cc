@@ -77,7 +77,15 @@ namespace {
 std::string RelName(const std::string& prefix, size_t i, bool single) {
   return single ? prefix : prefix + std::to_string(i + 1);
 }
-std::string MakeVarName(size_t i) { return "x" + std::to_string(i + 1); }
+// `prefix` followed by the decimal `n`. Appending to a named string (not
+// `prefix + std::to_string(n)`) keeps GCC 12's -O3 -Wrestrict false positive
+// on operator+(const char*, string&&) out of Release builds.
+std::string NumberedName(const char* prefix, size_t n) {
+  std::string name = prefix;
+  name += std::to_string(n);
+  return name;
+}
+std::string MakeVarName(size_t i) { return NumberedName("x", i + 1); }
 }  // namespace
 
 ConjunctiveQuery ConjunctiveQuery::Path(size_t l, const std::string& prefix,
@@ -117,7 +125,7 @@ ConjunctiveQuery ConjunctiveQuery::Product(size_t l, const std::string& prefix,
   ConjunctiveQuery q;
   for (size_t i = 0; i < l; ++i) {
     q.AddAtom(RelName(prefix, i, single_relation),
-              {"a" + std::to_string(i + 1), "b" + std::to_string(i + 1)});
+              {NumberedName("a", i + 1), NumberedName("b", i + 1)});
   }
   return q;
 }

@@ -283,8 +283,9 @@ SqlStatement ParseSql(const std::string& sql, const Database* db) {
   std::unordered_map<int, std::string> class_name;
   auto var_name = [&](int slot) {
     const int root = slots.Find(slot);
-    auto [it, inserted] =
-        class_name.emplace(root, "v" + std::to_string(class_name.size()));
+    std::string name = "v";  // not operator+: GCC 12 -O3 -Wrestrict
+    name += std::to_string(class_name.size());
+    auto [it, inserted] = class_name.emplace(root, std::move(name));
     return it->second;
   };
   SqlStatement stmt;

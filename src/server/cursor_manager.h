@@ -95,7 +95,8 @@ class CursorManager {
                                            std::move(ticket),
                                            std::move(algorithm));
     MutexLock lock(&mu_);
-    const std::string id = "c" + std::to_string(++next_id_);
+    std::string id = "c";  // not operator+: GCC 12 -O3 -Wrestrict
+    id += std::to_string(++next_id_);
     map_.emplace(id, std::move(cursor));
     ++stats_.opened;
     return id;

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "storage/flat_index.h"
-#include "storage/kernels.h"
 #include "storage/relation.h"
 #include "storage/value.h"
 
@@ -34,14 +33,11 @@ class GroupIndex {
   GroupIndex() = default;
 
   /// Build in expected O(rows) time.
-  GroupIndex(const Relation& rel, std::span<const uint32_t> key_cols,
-             KernelKind kernels = KernelKind::kAuto) {
-    Build(rel, key_cols, kernels);
+  GroupIndex(const Relation& rel, std::span<const uint32_t> key_cols) {
+    Build(rel, key_cols);
   }
 
-  void Build(const Relation& rel, std::span<const uint32_t> key_cols,
-             KernelKind kernels = KernelKind::kAuto) {
-    const GatherKernels& kx = GetGatherKernels(kernels);
+  void Build(const Relation& rel, std::span<const uint32_t> key_cols) {
     key_cols_.assign(key_cols.begin(), key_cols.end());
     const size_t rows = rel.NumRows();
     const size_t width = key_cols_.size();
@@ -52,8 +48,9 @@ class GroupIndex {
     // whole point) instead of striding over every row's interleaved values.
     std::vector<Value> key_rows(rows * width);
     for (size_t c = 0; c < width; ++c) {
-      kx.spread_to_stride(rel.ColumnData(key_cols_[c]), rows,
-                          key_rows.data() + c, width);
+      const Value* col = rel.ColumnData(key_cols_[c]);
+      Value* out = key_rows.data() + c;
+      for (size_t r = 0; r < rows; ++r) out[r * width] = col[r];
     }
 
     // Pass 1b: intern every row's key; remember the group per row.

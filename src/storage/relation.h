@@ -7,7 +7,7 @@
 // GroupIndex::Build, FlatKeyIndex interning, BuildStageGraph's CSR /
 // counting-scatter passes — read whole column segments sequentially instead
 // of striding over interleaved rows, and the NextBatch bind path gathers
-// from a column segment per variable (storage/kernels.h). A row is a
+// from a column segment per variable (BindStateBatch). A row is a
 // *virtual* object reassembled on demand through RowRef; code that truly
 // needs row-major bytes (the test oracle, the TTF reference bench) uses
 // storage/row_reference.h.
@@ -204,9 +204,8 @@ class Relation {
     return ColumnView(cols_[c]);
   }
 
-  /// Raw segment pointer of column `c` for the gather kernels
-  /// (storage/kernels.h). Null only when the column has no rows; kernels
-  /// must not be called with n > 0 in that case.
+  /// Raw segment pointer of column `c` for the batched key fills and binds.
+  /// May be null when the column has no rows; callers then read nothing.
   const Value* ColumnData(size_t c) const {
     ANYK_DCHECK(c < arity_);
     return cols_[c].data();

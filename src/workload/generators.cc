@@ -13,7 +13,11 @@ namespace {
 double RandomWeight(Rng* rng, const GeneratorOptions& opts) {
   return static_cast<double>(rng->Uniform(opts.weight_min, opts.weight_max));
 }
-std::string RelName(size_t i) { return "R" + std::to_string(i + 1); }
+std::string RelName(size_t i) {
+  std::string name = "R";  // not operator+: GCC 12 -O3 -Wrestrict
+  name += std::to_string(i + 1);
+  return name;
+}
 }  // namespace
 
 void AddUniformBinaryRelation(Database* db, const std::string& name, size_t n,

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -42,7 +43,9 @@ Database EdgesToDatabase(
     const std::vector<double>& weights, size_t l) {
   Database db;
   for (size_t i = 0; i < l; ++i) {
-    Relation& rel = db.AddRelation("R" + std::to_string(i + 1), 2);
+    std::string name = "R";  // not operator+: GCC 12 -O3 -Wrestrict
+    name += std::to_string(i + 1);
+    Relation& rel = db.AddRelation(name, 2);
     rel.Reserve(edges.size());
     for (size_t e = 0; e < edges.size(); ++e) {
       rel.Add({static_cast<Value>(edges[e].first),

@@ -6,6 +6,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -339,7 +342,7 @@ TEST(InvariantTest, StatsCollectionNeverTouchesTheGlobalHeap) {
 // fewer rows than requested, including zero — is exclusively the exhaustion
 // signal; exhaustion is sticky; every returned row is fully bound; and
 // NextBatch interleaves freely with NextInto. Swept across every ranked
-// algorithm (base-class fallback and the kernelized overrides alike) and
+// algorithm (base-class fallback and the batched-bind overrides alike) and
 // across batch sizes that don't divide the output count.
 // ---------------------------------------------------------------------------
 
@@ -419,9 +422,66 @@ TEST(InvariantTest, NextBatchInterleavesWithNextInto) {
   }
 }
 
+// An enumerator that implements only the one required override, NextInto;
+// Next() and NextBatch() come from the Enumerator base.
+class NextIntoOnlyEnumerator : public Enumerator<TropicalDioid> {
+ public:
+  explicit NextIntoOnlyEnumerator(const StageGraph<TropicalDioid>* g)
+      : inner_(MakeEnumerator<TropicalDioid>(g, Algorithm::kLazy)) {}
+  bool NextInto(ResultRow<TropicalDioid>* row) override {
+    return inner_->NextInto(row);
+  }
+
+ private:
+  std::unique_ptr<Enumerator<TropicalDioid>> inner_;
+};
+
+TEST(InvariantTest, NextIntoOnlyOverrideYieldsOneStreamThroughEveryPull) {
+  Fixture f(80, 4, 90, 6.0);
+  using Row = ResultRow<TropicalDioid>;
+  auto same = [](const Row& a, const Row& b) {
+    return a.weight == b.weight && a.assignment == b.assignment &&
+           a.witness == b.witness;
+  };
+
+  std::vector<Row> via_next;
+  {
+    NextIntoOnlyEnumerator e(&f.g);
+    while (std::optional<Row> r = e.Next()) via_next.push_back(std::move(*r));
+    EXPECT_FALSE(e.Next().has_value()) << "exhaustion must be sticky";
+  }
+  ASSERT_GT(via_next.size(), 100u) << "instance too small to be meaningful";
+
+  std::vector<Row> via_into;
+  {
+    NextIntoOnlyEnumerator e(&f.g);
+    Row row;
+    while (e.NextInto(&row)) via_into.push_back(row);
+  }
+
+  std::vector<Row> via_batch;
+  {
+    NextIntoOnlyEnumerator e(&f.g);
+    std::vector<Row> rows(7);  // does not divide the output count
+    while (true) {
+      const size_t got = e.NextBatch(rows.data(), rows.size());
+      via_batch.insert(via_batch.end(), rows.begin(), rows.begin() + got);
+      if (got < rows.size()) break;
+    }
+    EXPECT_EQ(e.NextBatch(rows.data(), rows.size()), 0u);
+  }
+
+  ASSERT_EQ(via_into.size(), via_next.size());
+  ASSERT_EQ(via_batch.size(), via_next.size());
+  for (size_t i = 0; i < via_next.size(); ++i) {
+    EXPECT_TRUE(same(via_next[i], via_into[i])) << "rank " << i;
+    EXPECT_TRUE(same(via_next[i], via_batch[i])) << "rank " << i;
+  }
+}
+
 TEST(InvariantTest, ZeroHeapAllocationsDuringBatchedEnumeration) {
-  // The kernelized NextBatch override gathers through caller-owned +
-  // arena-backed scratch; like the scalar path it must never touch the
+  // The batched-bind NextBatch override binds through caller-owned +
+  // arena-backed scratch; like the NextInto path it must never touch the
   // global heap once the row buffers are warm.
   Fixture f(300, 4, 89, 8.0);
   EnumOptions opts;

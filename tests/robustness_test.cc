@@ -20,7 +20,6 @@
 #include "query/cq.h"
 #include "query/join_tree.h"
 #include "storage/group_index.h"
-#include "storage/kernels.h"
 #include "test_util.h"
 #include "workload/generators.h"
 
@@ -232,23 +231,43 @@ TEST(ZeroArityTest, ColumnViewsAreWellDefinedForDegenerateShapes) {
     EXPECT_TRUE(empty.ColumnStatsOf(c).empty());
   }
   EXPECT_TRUE(empty.Weights().empty());
+}
 
-  // The bind kernels must accept n=0 over these (possibly null) column
-  // pointers without touching memory — this is exactly what a dead-ended
-  // stage hands them.
-  for (const KernelKind kind : {KernelKind::kScalar, KernelKind::kUnrolled}) {
-    const GatherKernels& kx = GetGatherKernels(kind);
-    Value out = -1;
-    uint32_t uout = 7;
-    kx.gather(empty.ColumnData(0), nullptr, 0, &out);
-    kx.gather_to_stride(empty.ColumnData(0), nullptr, 0, &out, 3);
-    kx.gather_u32(nullptr, nullptr, 0, &uout);
-    kx.gather_u32_strided(nullptr, 2, 1, nullptr, 0, &uout);
-    kx.copy_strided_u32(nullptr, 2, 0, 0, &uout);
-    kx.spread_to_stride(empty.ColumnData(1), 0, &out, 2);
-    EXPECT_EQ(out, -1);
-    EXPECT_EQ(uout, 7u);
+TEST(ZeroArityTest, BindStateBatchWithZeroCountTouchesNoRow) {
+  // S is empty, so its stage dead-ends: no rows, possibly null column
+  // segments, and the whole output is empty. A batched bind of zero
+  // answers over any stage must read no state, row id or column value and
+  // must leave the caller's row untouched.
+  Database db;
+  auto& r = db.AddRelation("R", 2);
+  r.Add({1, 10}, 1.0);
+  r.Add({2, 20}, 2.0);
+  db.AddRelation("S", 2);
+  ConjunctiveQuery q;
+  q.AddAtom("R", {"x", "y"});
+  q.AddAtom("S", {"y", "z"});
+  const TDPInstance inst = BuildAcyclicInstance(db, q);
+  const StageGraph<TropicalDioid> g = BuildStageGraph<TropicalDioid>(inst);
+  ASSERT_TRUE(g.Empty());
+  bool saw_rowless_stage = false;
+  for (const auto& st : g.stages) {
+    if (inst.nodes[st.node_idx].NumRows() == 0) saw_rowless_stage = true;
   }
+  ASSERT_TRUE(saw_rowless_stage);
+
+  ResultRow<TropicalDioid> row;
+  row.weight = 99.0;
+  row.assignment.assign(inst.num_vars, -1);
+  row.witness.assign(inst.num_atoms, 7u);
+  const ResultRow<TropicalDioid> before = row;
+  for (uint32_t j = 0; j < g.stages.size(); ++j) {
+    BindStateBatch(g, j, /*states_base=*/nullptr, g.stages.size(), j,
+                   /*count=*/0, &row, /*with_witness=*/true,
+                   /*id_scratch=*/nullptr);
+  }
+  EXPECT_EQ(row.weight, before.weight);
+  EXPECT_EQ(row.assignment, before.assignment);
+  EXPECT_EQ(row.witness, before.witness);
 }
 
 TEST(ZeroArityTest, ColumnChunkAppendOnDegenerateShapes) {
@@ -266,17 +285,15 @@ TEST(ZeroArityTest, ColumnChunkAppendOnDegenerateShapes) {
   EXPECT_TRUE(nullary.Row(1).empty());
 }
 
-TEST(ZeroArityTest, GroupIndexOverEmptyRelationBothKernelFlavors) {
-  // The column-strided GroupIndex build must be total on 0-row input for
-  // both kernel flavors (spread_to_stride over an empty column).
+TEST(ZeroArityTest, GroupIndexOverEmptyRelation) {
+  // The column-strided GroupIndex build must be total on 0-row input: its
+  // key-matrix fill reads an empty (possibly null) column segment.
   Relation empty("E", 2);
   const std::vector<uint32_t> key_cols = {0};
-  for (const KernelKind kind : {KernelKind::kScalar, KernelKind::kUnrolled}) {
-    GroupIndex idx(empty, key_cols, kind);
-    EXPECT_EQ(idx.NumGroups(), 0u);
-    EXPECT_EQ(idx.Find(Key{42}), -1);
-    EXPECT_TRUE(idx.Lookup(Key{42}).empty());
-  }
+  GroupIndex idx(empty, key_cols);
+  EXPECT_EQ(idx.NumGroups(), 0u);
+  EXPECT_EQ(idx.Find(Key{42}), -1);
+  EXPECT_TRUE(idx.Lookup(Key{42}).empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(Algos, RobustnessTest,
