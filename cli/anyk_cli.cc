@@ -11,24 +11,17 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
-#include <thread>
-
-#include "anyk/explain.h"
 #include "anyk/factory.h"
-#include "anyk/prepared_query.h"
-#include "anyk/ranked_query.h"
-#include "anyk/sharded_query.h"
-#include "dioid/max_plus.h"
-#include "dioid/max_times.h"
-#include "dioid/min_max.h"
-#include "dioid/tropical.h"
 #include "query/sql.h"
+#include "server/query_handle.h"
 #include "storage/database.h"
 #include "util/alloc_stats.h"
 #include "util/checkpoints.h"
@@ -52,27 +45,6 @@ namespace {
 // planner section (resolved_algorithm + planner{} always, explain with
 // --explain); v5 adds the sharding field (`shards`, --shards N).
 constexpr int kSchemaVersion = 5;
-
-const char* PlanName(QueryPlan plan) {
-  switch (plan) {
-    case QueryPlan::kAcyclicTree: return "acyclic-tree";
-    case QueryPlan::kCycleUnion: return "cycle-union";
-    case QueryPlan::kGenericJoinBatch: return "generic-join-batch";
-  }
-  return "?";
-}
-
-std::optional<Algorithm> AlgorithmFromName(std::string name) {
-  for (char& c : name) c = static_cast<char>(std::tolower(c));
-  if (name == "recursive" || name == "rec") return Algorithm::kRecursive;
-  if (name == "take2") return Algorithm::kTake2;
-  if (name == "lazy") return Algorithm::kLazy;
-  if (name == "eager") return Algorithm::kEager;
-  if (name == "all") return Algorithm::kAll;
-  if (name == "batch") return Algorithm::kBatch;
-  if (name == "auto") return Algorithm::kAuto;
-  return std::nullopt;
-}
 
 // ---------------------------------------------------------------------------
 // Measurement
@@ -139,70 +111,56 @@ struct RunReport {
   std::string explain_text;
 };
 
-using RowSink =
-    std::function<void(size_t k, double weight, const std::vector<Value>&)>;
-
-/// Build the shared pipeline (charged to preprocessing, as in the paper) and
-/// pull answers until `limit` (0 = all), timing TTF / TT(k) / TTL. With
-/// `num_sessions` > 1, N threads each drain their own EnumerationSession of
-/// the one prepared query concurrently (no per-answer sink; per-session TTLs
-/// and the aggregate answers/sec land in the report instead). `shards` > 1
-/// hash-partitions the data and prepares S per-shard pipelines whose
-/// sessions merge through a ranked union (anyk/sharded_query.h); with
-/// `parallel_drain` each shard session additionally drains on its own
-/// worker thread. shards == 1 is the unsharded passthrough, byte-identical
-/// to the pre-sharding CLI.
-template <typename D>
-RunReport RunRanked(const Database& db, const SqlStatement& stmt,
-                    Algorithm algo, size_t limit,
-                    const std::vector<size_t>& cps, const RowSink& sink,
-                    ThreadPool* pool, size_t num_sessions, size_t shards,
-                    bool parallel_drain, bool want_explain) {
+/// Prepare `stmt` through the shared engine entry point (charged to
+/// preprocessing, as in the paper) and pull answers until its LIMIT
+/// (0 = all), timing TTF / TT(k) / TTL. With `opt.sessions` > 1, N threads
+/// each drain their own stream of the one handle concurrently (no
+/// per-answer sink; per-session TTLs and the aggregate answers/sec land in
+/// the report instead). `opt.shards` > 1 hash-partitions the data into S
+/// per-shard pipelines whose streams merge through a ranked union; with
+/// `--threads` > 1 as well, each shard session drains on its own worker.
+RunReport RunQuery(const Database& db, const SqlStatement& stmt,
+                   const std::string& dioid, Algorithm algo,
+                   const std::vector<size_t>& cps, const server::RowFn& sink,
+                   ThreadPool* pool, const CliOptions& opt) {
+  const size_t limit = stmt.limit;
   RunReport rep;
   const AllocCounts at_start = CurrentAllocCounts();
   Timer timer;
-  typename ShardedPreparedQuery<D>::Options sopts;
-  typename PreparedQuery<D>::Options& qopts = sopts.prepare;
-  qopts.enum_opts.with_witness = false;
-  // Budget-aware top-k fast path: --k / SQL LIMIT reaches every enumerator
-  // as EnumOptions::k_budget (bounded O(k) candidate heaps, batch partial
-  // sort) instead of merely truncating the drain loop below.
-  qopts.enum_opts.k_budget = limit;
-  qopts.pool = pool;
+  server::QueryHandleOptions hopts;
+  hopts.shards = opt.shards;
+  hopts.parallel_drain = opt.threads > 1 && opt.shards > 1;
   // `auto` also unlocks the planner's topology choice (join-tree root /
   // stage order), not just the strategy pick.
-  qopts.auto_plan = algo == Algorithm::kAuto;
-  sopts.shards = shards;
-  sopts.parallel_drain = parallel_drain;
-  ShardedPreparedQuery<D> pq(db, stmt.query, sopts);
-  rep.plan = PlanName(pq.plan());
+  hopts.auto_plan = algo == Algorithm::kAuto;
+  const std::unique_ptr<server::QueryHandle> handle =
+      server::MakeQueryHandle(db, stmt, dioid, pool, hopts);
+  rep.plan = handle->plan_name();
   rep.resolved_algorithm = AlgorithmName(
-      algo == Algorithm::kAuto ? pq.decision().algorithm : algo);
-  rep.planner_summary = pq.decision().Summary();
-  // EXPLAIN shows shard 0's pipeline shape (all shards share it — only the
-  // data differs); the planner summary above is the cross-shard decision.
-  if (want_explain) rep.explain_text = Explain(pq.shard(0));
+      algo == Algorithm::kAuto ? handle->decision().algorithm : algo);
+  rep.planner_summary = handle->decision().Summary();
+  if (opt.explain) rep.explain_text = handle->explain();
 
-  if (num_sessions > 1) {
+  if (opt.sessions > 1) {
     rep.preprocessing_seconds = timer.Seconds();
     const AllocCounts at_enum = CurrentAllocCounts();
     rep.preprocessing_allocs = AllocDelta(at_start, at_enum).news;
     // Concurrent-drain mode: every session pulls the full (limited) stream
-    // through its own budgeted session, in batches.
-    rep.sessions.assign(num_sessions, {});
+    // through its own budgeted stream, in batches.
+    rep.sessions.assign(opt.sessions, {});
     std::vector<std::thread> workers;
-    workers.reserve(num_sessions);
-    for (size_t s = 0; s < num_sessions; ++s) {
-      workers.emplace_back([&pq, &timer, &rep, algo, limit, s] {
+    workers.reserve(opt.sessions);
+    for (size_t s = 0; s < opt.sessions; ++s) {
+      workers.emplace_back([&handle, &timer, &rep, algo, limit, s] {
         SessionReport& sr = rep.sessions[s];
-        EnumerationSession<D> sess = pq.NewSession(algo);
-        std::vector<ResultRow<D>> batch(kDrainBatchRows);
+        const std::unique_ptr<server::CursorStream> stream =
+            handle->Open(algo);
         bool done = false;
         while (!done && (limit == 0 || sr.produced < limit)) {
           size_t want = kDrainBatchRows;
           if (sr.produced == 0) want = 1;  // exact per-session TTF
           if (limit != 0) want = std::min(want, limit - sr.produced);
-          const size_t got = sess.NextBatch(batch.data(), want);
+          const size_t got = stream->FetchPage(want, nullptr);
           if (got < want) {
             sr.exhausted = true;
             done = true;
@@ -243,16 +201,24 @@ RunReport RunRanked(const Database& db, const SqlStatement& stmt,
     return rep;
   }
 
-  // Serial path: session construction (enumerator, arena reserve) counts as
-  // preprocessing, like the paper charges it — and like the pre-split CLI
-  // measured it — so enumeration_allocs keeps meaning "allocations while
-  // answers stream" and stays 0 for the arena-backed plans.
-  EnumerationSession<D> session = pq.NewSession(algo);
+  // Serial path: opening the stream (enumerator, arena reserve) counts as
+  // preprocessing, like the paper charges it, so enumeration_allocs keeps
+  // meaning "allocations while answers stream" and stays 0 for the
+  // arena-backed plans. A batch is stamped when its first row reaches the
+  // sink (right after the pull), so TTF / TT(k) exclude the output
+  // formatting of that batch, exactly as with no sink at all.
+  std::unique_ptr<server::CursorStream> stream = handle->Open(algo);
+  double batch_seconds = 0;
+  server::RowFn stamped;
+  if (sink) {
+    stamped = [&](size_t k, double weight, const std::vector<Value>& values) {
+      if (k == rep.produced + 1) batch_seconds = timer.Seconds();
+      sink(k, weight, values);
+    };
+  }
   rep.preprocessing_seconds = timer.Seconds();
   const AllocCounts at_enum = CurrentAllocCounts();
   rep.preprocessing_allocs = AllocDelta(at_start, at_enum).news;
-  std::vector<Value> projected;
-  std::vector<ResultRow<D>> batch(kDrainBatchRows);
   size_t next_cp = 0;
   double last = rep.preprocessing_seconds;
   bool done = false;
@@ -260,7 +226,7 @@ RunReport RunRanked(const Database& db, const SqlStatement& stmt,
     // Batch size: never cross the next TT(k) checkpoint or the --k limit,
     // so checkpoint timestamps stay exact at their k; the first pull is a
     // single row so TTF stays exact too. max_delay is measured at batch
-    // granularity (the gap between consecutive NextBatch returns).
+    // granularity (the gap between consecutive pulls).
     size_t want = kDrainBatchRows;
     if (rep.produced == 0) want = 1;
     if (limit != 0) want = std::min(want, limit - rep.produced);
@@ -268,13 +234,13 @@ RunReport RunRanked(const Database& db, const SqlStatement& stmt,
     if (next_cp < cps.size()) {
       want = std::min(want, cps[next_cp] - rep.produced);
     }
-    const size_t got = session.NextBatch(batch.data(), want);
+    const size_t got = stream->FetchPage(want, stamped);
     if (got < want) {
       rep.exhausted = true;
       done = true;
     }
     if (got == 0) break;
-    const double now = timer.Seconds();
+    const double now = sink ? batch_seconds : timer.Seconds();
     rep.max_delay_seconds = std::max(rep.max_delay_seconds, now - last);
     last = now;
     if (rep.produced == 0) rep.ttf_seconds = now;
@@ -282,21 +248,6 @@ RunReport RunRanked(const Database& db, const SqlStatement& stmt,
     if (next_cp < cps.size() && cps[next_cp] == rep.produced) {
       rep.checkpoints.emplace_back(rep.produced, now);
       ++next_cp;
-    }
-    if (sink) {
-      for (size_t b = 0; b < got; ++b) {
-        const ResultRow<D>& row = batch[b];
-        const std::vector<Value>* values = &row.assignment;
-        if (!stmt.select_vars.empty()) {
-          projected.clear();
-          for (uint32_t v : stmt.select_vars) {
-            projected.push_back(row.assignment[v]);
-          }
-          values = &projected;
-        }
-        sink(rep.produced - got + b + 1, static_cast<double>(row.weight),
-             *values);
-      }
     }
   }
   rep.ttl_seconds = timer.Seconds();
@@ -617,10 +568,8 @@ bool ParseCliArgs(int argc, char** argv, CliOptions* opt, std::string* error) {
       opt->algorithm = v;
     } else if (is_flag(a, "--dioid")) {
       if (!value_of(&i, "--dioid", &v)) return false;
-      if (v != "min-sum" && v != "max-sum" && v != "min-max" &&
-          v != "max-times") {
-        *error = "unknown dioid '" + v +
-                 "' (expected min-sum|max-sum|min-max|max-times)";
+      if (!server::IsDioidName(v)) {
+        *error = server::UnknownDioidMessage(v);
         return false;
       }
       opt->dioid = v;
@@ -764,10 +713,12 @@ int RunCli(const CliOptions& opt) {
 
   // Parse the SQL against the database (arities become known).
   SqlStatement stmt = ParseSql(opt.query, &db);
-  const size_t limit = opt.has_k ? opt.k : stmt.limit;
+  // --k overrides the SQL LIMIT as the stream's budget.
+  if (opt.has_k) stmt.limit = opt.k;
+  const size_t limit = stmt.limit;
   const Algorithm algo = *AlgorithmFromName(opt.algorithm);
-  std::string dioid = opt.dioid;
-  if (dioid.empty()) dioid = stmt.ascending ? "min-sum" : "max-sum";
+  const std::string dioid =
+      server::ResolveDioidName(opt.dioid, stmt.ascending);
 
   const std::vector<size_t> cps =
       opt.checkpoints.empty()
@@ -795,7 +746,7 @@ int RunCli(const CliOptions& opt) {
   const bool print_results = opt.print_results && opt.sessions <= 1;
   std::vector<CliResult> results;
   char weight_buf[32];
-  RowSink sink;
+  server::RowFn sink;
   if (print_results && text) {
     sink = [&](size_t k, double weight, const std::vector<Value>& values) {
       std::snprintf(weight_buf, sizeof(weight_buf), "%.6g", weight);
@@ -809,28 +760,8 @@ int RunCli(const CliOptions& opt) {
     };
   }
 
-  // With both worker threads and shards, the merged drain also runs one
-  // worker per shard session (same output bytes as the serial merge).
-  const bool parallel_drain = opt.threads > 1 && opt.shards > 1;
-
-  RunReport rep;
-  if (dioid == "min-sum") {
-    rep = RunRanked<TropicalDioid>(db, stmt, algo, limit, cps, sink, &pool,
-                                   opt.sessions, opt.shards, parallel_drain,
-                                   opt.explain);
-  } else if (dioid == "max-sum") {
-    rep = RunRanked<MaxPlusDioid>(db, stmt, algo, limit, cps, sink, &pool,
-                                  opt.sessions, opt.shards, parallel_drain,
-                                  opt.explain);
-  } else if (dioid == "min-max") {
-    rep = RunRanked<MinMaxDioid>(db, stmt, algo, limit, cps, sink, &pool,
-                                 opt.sessions, opt.shards, parallel_drain,
-                                 opt.explain);
-  } else {
-    rep = RunRanked<MaxTimesDioid>(db, stmt, algo, limit, cps, sink, &pool,
-                                   opt.sessions, opt.shards, parallel_drain,
-                                   opt.explain);
-  }
+  const RunReport rep =
+      RunQuery(db, stmt, dioid, algo, cps, sink, &pool, opt);
 
   if (text) {
     out << "# plan=" << rep.plan << "\n";

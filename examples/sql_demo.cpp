@@ -11,8 +11,10 @@
 #include <cstdio>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "anyk_api.h"
+#include "server/query_handle.h"
 #include "workload/graph_gen.h"
 
 using namespace anyk;
@@ -21,19 +23,23 @@ namespace {
 
 void Run(const Database& db, const std::string& sql) {
   std::printf("\nsql> %s\n", sql.c_str());
-  SqlStatement stmt = ParseSql(sql, &db);
+  const SqlStatement stmt = ParseSql(sql, &db);
   std::printf("  -> %s\n", stmt.query.ToString().c_str());
-  auto results = ExecuteSql(db, sql);
-  for (size_t i = 0; i < results.size() && i < 5; ++i) {
-    std::printf("  weight=%-8.0f (", results[i].weight);
-    for (size_t c = 0; c < results[i].values.size(); ++c) {
+  // No dioid named: ASC ranks by min-sum, DESC by max-sum.
+  const auto handle = server::MakeQueryHandle(db, stmt, "", nullptr);
+  const auto stream = handle->Open(Algorithm::kLazy);
+  stream->FetchPage(5, [](size_t, double weight,
+                          const std::vector<Value>& values) {
+    std::printf("  weight=%-8.0f (", weight);
+    for (size_t c = 0; c < values.size(); ++c) {
       std::printf("%s%lld", c ? ", " : "",
-                  static_cast<long long>(results[i].values[c]));
+                  static_cast<long long>(values[c]));
     }
     std::printf(")\n");
-  }
-  if (results.size() > 5) {
-    std::printf("  ... %zu rows total\n", results.size());
+  });
+  while (!stream->done()) stream->FetchPage(1024, nullptr);
+  if (stream->produced() > 5) {
+    std::printf("  ... %zu rows total\n", stream->produced());
   }
 }
 

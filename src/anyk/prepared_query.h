@@ -55,6 +55,16 @@ namespace anyk {
 
 enum class QueryPlan { kAcyclicTree, kCycleUnion, kGenericJoinBatch };
 
+/// The plan's name as the CLI report, the server's pages and /statz print it.
+inline const char* QueryPlanName(QueryPlan plan) {
+  switch (plan) {
+    case QueryPlan::kAcyclicTree: return "acyclic-tree";
+    case QueryPlan::kCycleUnion: return "cycle-union";
+    case QueryPlan::kGenericJoinBatch: return "generic-join-batch";
+  }
+  return "?";
+}
+
 /// Cursor over a shared, pre-sorted result vector (the generic-join batch
 /// fallback). The rows are owned by the PreparedQuery and never change;
 /// each session only advances its own cursor.

@@ -11,9 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "anyk/ranked_query.h"
-#include "dioid/max_plus.h"
-#include "dioid/tropical.h"
 #include "util/logging.h"
 
 namespace anyk {
@@ -312,8 +309,9 @@ SqlStatement ParseSql(const std::string& sql, const Database* db) {
   return stmt;
 }
 
-std::string NormalizeSql(const std::string& sql) {
+std::string NormalizeSql(const std::string& sql, bool* ascending) {
   ParsedSyntax syn = ParseSyntax(sql);
+  if (ascending != nullptr) *ascending = syn.ascending;
   std::string out = "SELECT ";
   if (syn.select_all) {
     out += "*";
@@ -356,47 +354,6 @@ std::string NormalizeSql(const std::string& sql) {
   out += syn.ascending ? " ORDER BY WEIGHT ASC" : " ORDER BY WEIGHT DESC";
   if (syn.limit > 0) out += " LIMIT " + std::to_string(syn.limit);
   return out;
-}
-
-namespace {
-
-template <typename D>
-std::vector<SqlResult> Run(const Database& db, const SqlStatement& stmt) {
-  typename RankedQuery<D>::Options opts;
-  opts.algorithm = Algorithm::kLazy;
-  opts.enum_opts.with_witness = false;
-  opts.enum_opts.k_budget = stmt.limit;
-  RankedQuery<D> rq(db, stmt.query, opts);
-  std::vector<SqlResult> out;
-  while (stmt.limit == 0 || out.size() < stmt.limit) {
-    auto row = rq.Next();
-    if (!row) break;
-    SqlResult res;
-    res.weight = row->weight;
-    if (stmt.select_vars.empty()) {
-      res.values = row->assignment;
-    } else {
-      for (uint32_t v : stmt.select_vars) {
-        res.values.push_back(row->assignment[v]);
-      }
-    }
-    out.push_back(std::move(res));
-  }
-  return out;
-}
-
-}  // namespace
-
-std::vector<SqlResult> ExecuteSql(const Database& db, const std::string& sql) {
-  SqlStatement stmt = ParseSql(sql, &db);
-  // Validate arities against the database.
-  for (size_t a = 0; a < stmt.query.NumAtoms(); ++a) {
-    const Relation& rel = db.Get(stmt.query.atom(a).relation);
-    ANYK_CHECK_EQ(rel.arity(), stmt.query.AtomVarIds(a).size())
-        << "SQL: relation " << rel.name() << " has arity " << rel.arity();
-  }
-  return stmt.ascending ? Run<TropicalDioid>(db, stmt)
-                        : Run<MaxPlusDioid>(db, stmt);
 }
 
 }  // namespace anyk

@@ -10,9 +10,11 @@
 // Columns are addressed positionally as A1..A<arity>. The statement compiles
 // to a ConjunctiveQuery: every (atom, column) slot gets a variable, WHERE
 // equalities merge variables (union-find), and a non-* SELECT list becomes
-// the free variables. Execution uses the tropical (ASC) or arctic (DESC)
-// dioid; projections follow the paper's all-weight-projection semantics
-// (Section 8.1, option 1) — use MinWeightProjection for option 2.
+// the free variables. Statements run through server::MakeQueryHandle
+// (src/server/query_handle.h), which ranks ASC by min-sum and DESC by
+// max-sum unless a dioid is named; projections follow the paper's
+// all-weight-projection semantics (Section 8.1, option 1) — use
+// MinWeightProjection for option 2.
 
 #ifndef ANYK_QUERY_SQL_H_
 #define ANYK_QUERY_SQL_H_
@@ -24,7 +26,6 @@
 
 #include "query/cq.h"
 #include "storage/database.h"
-#include "storage/value.h"
 
 namespace anyk {
 
@@ -53,17 +54,10 @@ SqlStatement ParseSql(const std::string& sql, const Database* db = nullptr);
 /// same query map to one key. FROM order is preserved: it determines the
 /// SELECT * column order, so reordering it would change results. The
 /// normalized text re-parses to an equivalent statement (sql_test pins
-/// this); CHECK-fails like ParseSql on syntax errors.
-std::string NormalizeSql(const std::string& sql);
-
-struct SqlResult {
-  double weight;
-  std::vector<Value> values;  // SELECT-list order (all variables for *)
-};
-
-/// Parse and execute: ranked enumeration honoring ORDER BY/LIMIT, with
-/// all-weight-projection semantics for column lists.
-std::vector<SqlResult> ExecuteSql(const Database& db, const std::string& sql);
+/// this); CHECK-fails like ParseSql on syntax errors. With `ascending`,
+/// also reports the ORDER BY direction, so a caller that only needs the key
+/// and the direction parses the statement once.
+std::string NormalizeSql(const std::string& sql, bool* ascending = nullptr);
 
 }  // namespace anyk
 

@@ -51,18 +51,6 @@ struct CacheEntry {
 
 using QueryCache = LruCache<CacheEntry>;
 
-std::optional<Algorithm> AlgorithmFromName(std::string name) {
-  for (char& c : name) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  if (name == "recursive" || name == "rec") return Algorithm::kRecursive;
-  if (name == "take2") return Algorithm::kTake2;
-  if (name == "lazy") return Algorithm::kLazy;
-  if (name == "eager") return Algorithm::kEager;
-  if (name == "all") return Algorithm::kAll;
-  if (name == "batch") return Algorithm::kBatch;
-  if (name == "auto") return Algorithm::kAuto;
-  return std::nullopt;
-}
-
 bool ParsePositiveSize(const std::string& s, size_t* out) {
   if (s.empty()) return false;
   for (char c : s) {
@@ -286,7 +274,7 @@ void AnykServer::Impl::ServeConnection(int fd) {
     try {
       resp = Handle(*req);
     } catch (const std::exception& e) {
-      // ANYK_CHECK failures (bad SQL, unknown dioid, missing relation...)
+      // ANYK_CHECK failures (bad SQL, missing relation...)
       // arrive here via the throwing handler — they are client errors.
       resp = TextError(400, e.what());
     }
@@ -333,6 +321,12 @@ HttpResponse AnykServer::Impl::HandleQuery(const HttpRequest& req) {
                               "' (expected recursive|take2|lazy|eager|all|"
                               "batch|auto)");
   }
+  // An empty dioid takes the default for the statement's direction, once
+  // the SQL is parsed below; a misspelled one is refused before admission.
+  const std::string dioid_param = req.Param("dioid", "");
+  if (!dioid_param.empty() && !IsDioidName(dioid_param)) {
+    return TextError(400, UnknownDioidMessage(dioid_param));
+  }
   const bool json = req.Param("format", "text") == "json";
 
   // Admission: cheap checks before any preparation work.
@@ -347,16 +341,11 @@ HttpResponse AnykServer::Impl::HandleQuery(const HttpRequest& req) {
   SessionTicket ticket(&gauge);
 
   // Normalization both validates the SQL (throws -> 400 above) and produces
-  // the cache key, so equivalent spellings share one prepared query.
-  const std::string normalized = NormalizeSql(sql);
-  std::string dioid = req.Param("dioid", "");
-  if (dioid.empty()) {
-    // Same default rule as the CLI: lightest-first queries rank by min-sum,
-    // heaviest-first by max-sum. NormalizeSql always renders the direction.
-    dioid = normalized.find(" ORDER BY WEIGHT DESC") != std::string::npos
-                ? "max-sum"
-                : "min-sum";
-  }
+  // the cache key, so equivalent spellings share one prepared query; it
+  // also reports the direction the default dioid depends on.
+  bool ascending = true;
+  const std::string normalized = NormalizeSql(sql, &ascending);
+  const std::string dioid = ResolveDioidName(dioid_param, ascending);
   const std::string key =
       QueryCacheKey(dioid, opts.planner_version,
                     epoch.load(std::memory_order_relaxed), opts.shards,
@@ -369,8 +358,13 @@ HttpResponse AnykServer::Impl::HandleQuery(const HttpRequest& req) {
         auto e = std::make_shared<CacheEntry>();
         Timer timer;
         const SqlStatement stmt = ParseSql(normalized, &db);
-        e->handle =
-            MakeQueryHandle(db, stmt, dioid, &prepare_pool, opts.shards);
+        // Cursors stay on the serial merge (parallel_drain off): a paged
+        // cursor may sit idle between requests, and parking S worker
+        // threads per open cursor would let max_sessions cursors pin
+        // S * max_sessions threads.
+        QueryHandleOptions hopts;
+        hopts.shards = opts.shards;
+        e->handle = MakeQueryHandle(db, stmt, dioid, &prepare_pool, hopts);
         e->prepare_seconds = timer.Seconds();
         return e;
       },

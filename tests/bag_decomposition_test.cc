@@ -29,7 +29,9 @@ TEST_P(BagDecompositionTest, ChordedSquare) {
   Rng rng(301);
   Database db;
   for (int i = 1; i <= 5; ++i) {
-    auto& rel = db.AddRelation("R" + std::to_string(i), 2);
+    std::string name = "R";
+    name += std::to_string(i);
+    auto& rel = db.AddRelation(name, 2);
     for (int t = 0; t < 60; ++t) {
       rel.Add({rng.Uniform(0, 8), rng.Uniform(0, 8)},
               static_cast<double>(rng.Uniform(0, 100)));
@@ -63,7 +65,9 @@ TEST_P(BagDecompositionTest, K4SingleBag) {
   Rng rng(303);
   Database db;
   for (int i = 1; i <= 6; ++i) {
-    auto& rel = db.AddRelation("R" + std::to_string(i), 2);
+    std::string name = "R";
+    name += std::to_string(i);
+    auto& rel = db.AddRelation(name, 2);
     for (int t = 0; t < 50; ++t) {
       rel.Add({rng.Uniform(0, 6), rng.Uniform(0, 6)},
               static_cast<double>(rng.Uniform(0, 100)));
@@ -92,7 +96,9 @@ TEST_P(BagDecompositionTest, CoveredButUnpinnedAtomFiltersOnly) {
   Rng rng(304);
   Database db;
   for (int i = 1; i <= 5; ++i) {
-    auto& rel = db.AddRelation("R" + std::to_string(i), 2);
+    std::string name = "R";
+    name += std::to_string(i);
+    auto& rel = db.AddRelation(name, 2);
     for (int t = 0; t < 50; ++t) {
       rel.Add({rng.Uniform(0, 7), rng.Uniform(0, 7)},
               static_cast<double>(rng.Uniform(0, 100)));

@@ -422,4 +422,28 @@ TEST(CliTest, BadAlgorithmExitsTwo) {
   EXPECT_NE(run.output.find("unknown algorithm"), std::string::npos);
 }
 
+TEST(CliTest, AlgorithmNameIsCaseInsensitive) {
+  const std::string query =
+      " --query \"SELECT * FROM R, S WHERE R.A2 = S.A1"
+      " ORDER BY WEIGHT ASC LIMIT 3\"";
+  CliRun upper = RunCli(TwoRelationArgs() + " --algorithm TAKE2" + query);
+  ASSERT_EQ(upper.exit_code, 0) << upper.output;
+  EXPECT_NE(upper.output.find("# algorithm=Take2"), std::string::npos)
+      << upper.output;
+  CliRun lower = RunCli(TwoRelationArgs() + " --algorithm take2" + query);
+  EXPECT_EQ(ResultLines(upper.output), ResultLines(lower.output));
+  EXPECT_EQ(ResultLines(upper.output).size(), 3u);
+}
+
+TEST(CliTest, NonAsciiAlgorithmNameExitsTwo) {
+  // Bytes >= 0x80 go through the lower-casing as unsigned char (a plain
+  // negative char is undefined behaviour for std::tolower) and then fail
+  // the name lookup like any other unknown name.
+  CliRun run = RunCli(TwoRelationArgs() + " --algorithm \"TAKE2\xC3\xA9\"" +
+                      " --query \"SELECT * FROM R\"");
+  EXPECT_EQ(run.exit_code, 2) << run.output;
+  EXPECT_NE(run.output.find("unknown algorithm"), std::string::npos)
+      << run.output;
+}
+
 }  // namespace

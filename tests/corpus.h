@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "query/cq.h"
@@ -102,7 +103,9 @@ inline GeneratedCase MakeTreeCase(uint64_t seed) {
     }
     const size_t extra = 1 + rng.Below(3);
     for (size_t e = 0; e < extra; ++e) {
-      vars.push_back("v" + std::to_string(fresh++));
+      std::string var = "v";
+      var += std::to_string(fresh++);
+      vars.push_back(std::move(var));
     }
     rng.Shuffle(&vars);
     atom_vars[i] = vars;

@@ -44,7 +44,11 @@ ConjunctiveQuery RandomTreeQuery(Rng* rng, size_t num_atoms,
   ConjunctiveQuery q;
   std::vector<std::vector<std::string>> atom_vars(num_atoms);
   size_t fresh = 0;
-  auto new_var = [&] { return "v" + std::to_string(fresh++); };
+  auto new_var = [&] {
+    std::string var = "v";
+    var += std::to_string(fresh++);
+    return var;
+  };
   for (size_t i = 0; i < num_atoms; ++i) {
     std::vector<std::string> vars;
     if (i > 0) {
@@ -59,7 +63,9 @@ ConjunctiveQuery RandomTreeQuery(Rng* rng, size_t num_atoms,
     rng->Shuffle(&vars);
     atom_vars[i] = vars;
     arity_out->push_back(vars.size());
-    q.AddAtom("F" + std::to_string(i), vars);
+    std::string name = "F";
+    name += std::to_string(i);
+    q.AddAtom(name, vars);
   }
   return q;
 }

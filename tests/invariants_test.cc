@@ -8,6 +8,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -202,7 +203,9 @@ TEST(InvariantTest, ZeroHeapAllocationsOnStarQuery) {
   Rng rng(81);
   Database db;
   for (int i = 1; i <= 3; ++i) {
-    auto& rel = db.AddRelation("S" + std::to_string(i), 2);
+    std::string name = "S";
+    name += std::to_string(i);
+    auto& rel = db.AddRelation(name, 2);
     for (int r = 0; r < 200; ++r) {
       rel.Add({rng.Uniform(0, 8), rng.Uniform(0, 30)},
               static_cast<double>(rng.Uniform(0, 50)));

@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -165,7 +166,9 @@ TEST(RankJoinTest, PullsQuadraticallyOnI2) {
   // top result. We verify the join_combinations counter scales ~n^2.
   auto negate = [](Database db) {
     for (int i = 1; i <= 3; ++i) {
-      auto& rel = db.GetMutable("R" + std::to_string(i));
+      std::string name = "R";
+      name += std::to_string(i);
+      auto& rel = db.GetMutable(name);
       for (size_t r = 0; r < rel.NumRows(); ++r) rel.SetWeight(r, -rel.Weight(r));
     }
     return db;

@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <gtest/gtest.h>
+#include <string>
 #include <vector>
 
 #include "query/cq.h"
@@ -106,7 +107,9 @@ TEST(JoinTreeTest, KeysAreSharedVariables) {
   auto q = ConjunctiveQuery::Path(3);
   Database db;
   for (int i = 1; i <= 3; ++i) {
-    db.AddRelation("R" + std::to_string(i), 2).Add({1, 1}, 0.0);
+    std::string name = "R";
+    name += std::to_string(i);
+    db.AddRelation(name, 2).Add({1, 1}, 0.0);
   }
   TDPInstance inst = BuildAcyclicInstance(db, q);
   ASSERT_EQ(inst.nodes.size(), 3u);

@@ -98,7 +98,9 @@ TEST_P(RobustnessTest, DuplicateHeavyRelations) {
   Rng rng(604);
   Database db;
   for (int i = 1; i <= 3; ++i) {
-    auto& rel = db.AddRelation("R" + std::to_string(i), 2);
+    std::string name = "R";
+    name += std::to_string(i);
+    auto& rel = db.AddRelation(name, 2);
     for (int t = 0; t < 30; ++t) {
       rel.Add({rng.Uniform(0, 1), rng.Uniform(0, 1)},
               static_cast<double>(rng.Uniform(0, 3)));

@@ -340,6 +340,35 @@ TEST(ServerTest, StatzAndFlush) {
   srv.Stop();
 }
 
+TEST(ServerTest, UnknownDioidIsRejectedBeforeAdmission) {
+  ServerOptions opts;
+  opts.max_sessions = 1;
+  AnykServer srv(TestDatabase(), opts);
+  srv.Start();
+  HttpClient client(srv.bound_port());
+
+  const std::string before = client.Get("/statz").body;
+  ClientResponse resp = client.Get("/v1/query?sql=" +
+                                   HttpClient::Encode(kPathSql) +
+                                   "&dioid=bogus&k=1");
+  EXPECT_EQ(resp.status, 400) << resp.body;
+  EXPECT_NE(resp.body.find("unknown dioid 'bogus'"), std::string::npos)
+      << resp.body;
+  // Refused before the cache, the rate limiter and the session gauge: no
+  // lookup was counted and the one session slot is still free.
+  ClientResponse stats = client.Get("/statz");
+  for (const char* field : {"\"hits\": 0", "\"misses\": 0",
+                            "\"coalesced\": 0", "\"peak\": 0"}) {
+    EXPECT_NE(before.find(field), std::string::npos) << before;
+    EXPECT_NE(stats.body.find(field), std::string::npos) << stats.body;
+  }
+  resp = client.Get("/v1/query?sql=" + HttpClient::Encode(kPathSql) +
+                    "&dioid=min-sum&k=1");
+  EXPECT_EQ(resp.status, 200) << resp.body;
+  EXPECT_EQ(LineWithPrefix(resp.body, "CACHE,"), "CACHE,miss");
+  srv.Stop();
+}
+
 TEST(ServerTest, AutoDefaultMatchesSerialAutoDrain) {
   // `auto` is the server default: a request without an algorithm parameter
   // runs the prepare-time planner decision, and its paged stream must

@@ -1,17 +1,46 @@
 // SQL front-end tests: parsing to conjunctive queries, ORDER BY/LIMIT,
 // self-join aliases, DESC ranking, projection with all-weight semantics
-// (Section 8.1, option 1), and oracle agreement.
+// (Section 8.1, option 1), the default-dioid rule, and oracle agreement —
+// executed through MakeQueryHandle, the entry point every surface uses.
 
+#include <algorithm>
 #include <cstddef>
+#include <string>
+#include <vector>
 #include <gtest/gtest.h>
 
+#include "anyk/factory.h"
 #include "dioid/tropical.h"
 #include "query/sql.h"
+#include "server/query_handle.h"
+#include "storage/value.h"
 #include "test_util.h"
 #include "workload/generators.h"
 
 namespace anyk {
 namespace {
+
+struct Answer {
+  double weight;
+  std::vector<Value> values;  // SELECT-list order (all variables for *)
+  bool operator==(const Answer&) const = default;
+};
+
+/// Run `sql` the way every surface does — MakeQueryHandle, Open, FetchPage
+/// — under `dioid` (empty = the ORDER BY default) and collect every answer.
+std::vector<Answer> RunSql(const Database& db, const std::string& sql,
+                           const std::string& dioid = "") {
+  const SqlStatement stmt = ParseSql(sql, &db);
+  const auto handle = server::MakeQueryHandle(db, stmt, dioid, nullptr);
+  const auto stream = handle->Open(Algorithm::kLazy);
+  std::vector<Answer> out;
+  const server::RowFn keep = [&out](size_t, double weight,
+                                    const std::vector<Value>& values) {
+    out.push_back({weight, values});
+  };
+  while (!stream->done()) stream->FetchPage(64, keep);
+  return out;
+}
 
 TEST(SqlParseTest, PathQueryShape) {
   auto stmt = ParseSql(
@@ -117,7 +146,7 @@ TEST(SqlNormalizeTest, PreservesFromOrderAndReparses) {
 
 TEST(SqlExecuteTest, MatchesOracleAscending) {
   Database db = MakePathDatabase(40, 3, 501, {.fanout = 6.0});
-  auto results = ExecuteSql(
+  auto results = RunSql(
       db,
       "SELECT * FROM R1, R2, R3 "
       "WHERE R1.A2 = R2.A1 AND R2.A2 = R3.A1 ORDER BY WEIGHT ASC");
@@ -131,9 +160,9 @@ TEST(SqlExecuteTest, MatchesOracleAscending) {
 
 TEST(SqlExecuteTest, DescendingIsReverseExtreme) {
   Database db = MakePathDatabase(30, 2, 502, {.fanout = 5.0});
-  auto asc = ExecuteSql(
+  auto asc = RunSql(
       db, "SELECT * FROM R1, R2 WHERE R1.A2 = R2.A1 ORDER BY WEIGHT ASC");
-  auto desc = ExecuteSql(
+  auto desc = RunSql(
       db, "SELECT * FROM R1, R2 WHERE R1.A2 = R2.A1 ORDER BY WEIGHT DESC");
   ASSERT_EQ(asc.size(), desc.size());
   ASSERT_FALSE(asc.empty());
@@ -143,7 +172,7 @@ TEST(SqlExecuteTest, DescendingIsReverseExtreme) {
 
 TEST(SqlExecuteTest, LimitAndProjection) {
   Database db = MakePathDatabase(40, 2, 503, {.fanout = 6.0});
-  auto results = ExecuteSql(
+  auto results = RunSql(
       db,
       "SELECT R1.A1, R2.A2 FROM R1, R2 WHERE R1.A2 = R2.A1 "
       "ORDER BY WEIGHT ASC LIMIT 7");
@@ -161,7 +190,7 @@ TEST(SqlExecuteTest, LimitAndProjection) {
 TEST(SqlExecuteTest, PaperExample1FourCycle) {
   // Example 1's SQL, modulo column naming: the 4-cycle with summed weights.
   Database db = MakeWorstCaseCycleDatabase(14, 4, 504);
-  auto results = ExecuteSql(
+  auto results = RunSql(
       db,
       "SELECT R1.A1, R2.A1, R3.A1, R4.A1 FROM R1, R2, R3, R4 "
       "WHERE R1.A2 = R2.A1 AND R2.A2 = R3.A1 AND R3.A2 = R4.A1 "
@@ -172,6 +201,35 @@ TEST(SqlExecuteTest, PaperExample1FourCycle) {
   for (size_t i = 0; i < results.size(); ++i) {
     EXPECT_DOUBLE_EQ(results[i].weight, oracle[i].weight);
   }
+}
+
+TEST(SqlExecuteTest, DefaultDioidFollowsOrderBy) {
+  EXPECT_EQ(server::ResolveDioidName("", /*ascending=*/true), "min-sum");
+  EXPECT_EQ(server::ResolveDioidName("", /*ascending=*/false), "max-sum");
+  EXPECT_EQ(server::ResolveDioidName("min-max", /*ascending=*/false),
+            "min-max");
+
+  Database db = MakePathDatabase(30, 2, 505, {.fanout = 5.0});
+  const std::string asc_sql =
+      "SELECT * FROM R1, R2 WHERE R1.A2 = R2.A1 ORDER BY WEIGHT ASC";
+  const std::string desc_sql =
+      "SELECT * FROM R1, R2 WHERE R1.A2 = R2.A1 ORDER BY WEIGHT DESC";
+  // An unnamed dioid runs exactly the named default.
+  const auto asc = RunSql(db, asc_sql);
+  const auto desc = RunSql(db, desc_sql);
+  EXPECT_EQ(asc, RunSql(db, asc_sql, "min-sum"));
+  EXPECT_EQ(desc, RunSql(db, desc_sql, "max-sum"));
+  // min-sum ranks lightest first, max-sum heaviest first, and the two
+  // streams' extremes mirror each other.
+  ASSERT_EQ(asc.size(), desc.size());
+  ASSERT_FALSE(asc.empty());
+  for (size_t i = 1; i < asc.size(); ++i) {
+    EXPECT_GE(asc[i].weight, asc[i - 1].weight) << i;
+    EXPECT_LE(desc[i].weight, desc[i - 1].weight) << i;
+  }
+  EXPECT_DOUBLE_EQ(asc.front().weight, desc.back().weight);
+  EXPECT_DOUBLE_EQ(asc.back().weight, desc.front().weight);
+  EXPECT_LT(asc.front().weight, desc.front().weight);
 }
 
 }  // namespace

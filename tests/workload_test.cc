@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -84,7 +85,9 @@ TEST(PaperInstanceTest, I2TopResultUsesLightLightHeavy) {
   for (size_t i = 0; i < rs.size(); ++i) {
     double w = 0;
     for (size_t a = 0; a < 3; ++a) {
-      w += db.Get("R" + std::to_string(a + 1)).Weight(rs.witness(i)[a]);
+      std::string name = "R";
+      name += std::to_string(a + 1);
+      w += db.Get(name).Weight(rs.witness(i)[a]);
     }
     best = std::max(best, w);
   }
